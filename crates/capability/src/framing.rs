@@ -11,7 +11,7 @@
 //! module panics on hostile bytes.
 
 use crate::xml::WireError;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use yat_xml::Element;
 
 /// The largest payload a receiver accepts, in bytes (64 MiB). A header
@@ -20,6 +20,12 @@ use yat_xml::Element;
 pub const MAX_FRAME: u64 = 64 << 20;
 
 /// Writes one frame: big-endian `u32` payload length, then the payload.
+///
+/// Header and payload are handed to the sink in one vectored write,
+/// repeated only for whatever a call did not take. On a TCP socket, two
+/// writes per frame stall it: Nagle's algorithm holds the payload until
+/// the peer acknowledges the header, and the peer delays that ack by up
+/// to ~40 ms. The payload is not copied, however large the frame.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
     let len = payload.len() as u64;
     if len > MAX_FRAME {
@@ -29,10 +35,23 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
         });
     }
     let header = (len as u32).to_be_bytes();
-    w.write_all(&header)
-        .and_then(|()| w.write_all(payload.as_bytes()))
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload.as_bytes())];
+    write_all_vectored(w, &mut bufs)
         .and_then(|()| w.flush())
         .map_err(|e| WireError::Io(e.to_string()))
+}
+
+/// Writes every byte of `bufs`, advancing past whatever each call took.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Serializes `el` and writes it as one frame.
@@ -90,7 +109,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
         match r.read(&mut buf[filled..]) {
             Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e.to_string())),
         }
     }
@@ -172,6 +191,108 @@ mod tests {
         // the writer enforces the same bound (tested via the constant
         // rather than materializing 64 MiB here)
         assert!(write_frame(&mut sink, &huge).is_ok());
+    }
+
+    /// The frame bytes built by hand: length header, then the payload.
+    fn expected_frame(payload: &str) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(payload.as_bytes());
+        bytes
+    }
+
+    /// A sink that takes everything it is offered and counts the calls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+                n += b.len();
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let mut sink = CountingSink::default();
+        write_frame(&mut sink, "<a/>").unwrap();
+        assert_eq!(sink.calls, 1, "header and payload in a single call");
+        write_element(&mut sink, &Element::new("b").with_text("hé")).unwrap();
+        assert_eq!(sink.calls, 2, "one call per frame");
+        let mut want = expected_frame("<a/>");
+        want.extend(expected_frame("<b>hé</b>"));
+        assert_eq!(sink.bytes, want);
+    }
+
+    /// A sink that takes 1, 2 or 3 bytes per call and is interrupted on
+    /// every fifth call.
+    #[derive(Default)]
+    struct TrickleSink {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for TrickleSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(1 + self.calls % 3);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_still_produce_the_exact_frame() {
+        for payload in ["", "<a/>", "<b x=\"1\">héllo wörld</b>"] {
+            let mut sink = TrickleSink::default();
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.bytes, expected_frame(payload), "{payload:?}");
+            assert_eq!(
+                read_frame(&mut sink.bytes.as_slice()).unwrap().as_deref(),
+                Some(payload)
+            );
+        }
+    }
+
+    #[test]
+    fn a_sink_that_stops_accepting_is_an_io_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(matches!(
+            write_frame(&mut Full, "<a/>"),
+            Err(WireError::Io(_))
+        ));
     }
 
     #[test]

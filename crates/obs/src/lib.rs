@@ -14,7 +14,7 @@
 //!   operator profile (calls, cardinalities, wall time, traffic), the
 //!   data structure `Mediator::explain` renders.
 //!
-//! No external subscriber is required: spans go into a `Vec` behind a
+//! No external subscriber is required: spans go into a list behind a
 //! mutex and cost nothing when no collector is attached (every
 //! instrumentation site takes `Option<&Collector>`). For integration
 //! with a `tracing`-style subscriber, enable the `subscriber` cargo
@@ -25,7 +25,7 @@
 
 pub mod profile;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -201,7 +201,9 @@ impl std::fmt::Display for AttrValue {
 /// and a wall-clock duration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanData {
-    /// Index into the collector's span list (creation order).
+    /// Creation number, stable for the collector's lifetime. It is the
+    /// span's index in [`Collector::spans`] unless a
+    /// [`bounded`](Collector::bounded) collector has evicted older spans.
     pub id: usize,
     /// Enclosing span, `None` for roots.
     pub parent: Option<usize>,
@@ -228,7 +230,12 @@ impl SpanData {
 
 #[derive(Debug, Default)]
 struct Inner {
-    spans: Vec<SpanData>,
+    /// Retained spans in creation order; `spans[i]` has id `base + i`.
+    spans: VecDeque<SpanData>,
+    /// Id of the oldest retained span: how many were evicted before it.
+    base: usize,
+    /// How many spans a bounded collector keeps; `None` keeps all.
+    cap: Option<usize>,
     /// Open-span stacks, one per thread: a span opened on a worker thread
     /// nests under the innermost span *of that thread*, never under
     /// whatever another thread happens to have open at the same instant.
@@ -238,6 +245,27 @@ struct Inner {
 impl Inner {
     fn stack(&mut self) -> &mut Vec<usize> {
         self.stacks.entry(std::thread::current().id()).or_default()
+    }
+
+    /// The id the next recorded span gets.
+    fn next_id(&self) -> usize {
+        self.base + self.spans.len()
+    }
+
+    /// Appends a span created with [`Inner::next_id`].
+    fn push(&mut self, span: SpanData) {
+        self.spans.push_back(span);
+        self.evict();
+    }
+
+    /// Drops closed spans from the front while over the cap. An open
+    /// span stops the eviction, so ids of open spans always resolve.
+    fn evict(&mut self) {
+        let Some(cap) = self.cap else { return };
+        while self.spans.len() > cap && self.spans.front().is_some_and(|s| s.closed) {
+            self.spans.pop_front();
+            self.base += 1;
+        }
     }
 }
 
@@ -273,9 +301,22 @@ impl std::fmt::Debug for Collector {
 }
 
 impl Collector {
-    /// A fresh, empty collector.
+    /// A fresh, empty collector that keeps every span (what `EXPLAIN
+    /// ANALYZE` needs to build a whole profile).
     pub fn new() -> Self {
         Collector::default()
+    }
+
+    /// A fresh collector that keeps only the latest `cap` spans, for a
+    /// long-running process whose span log would otherwise grow with
+    /// every request. The oldest spans are evicted first, and only once
+    /// closed; ids and parent links of retained spans never change, and
+    /// a parent may refer to an evicted span. A trimmed log is not a
+    /// whole tree, so [`profile::build`] needs [`Collector::new`].
+    pub fn bounded(cap: usize) -> Self {
+        let c = Collector::default();
+        c.lock().cap = Some(cap);
+        c
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -311,12 +352,12 @@ impl Collector {
 
     fn open(&self, kind: &'static str, label: String, explicit: Option<Option<usize>>) -> Span<'_> {
         let mut inner = self.lock();
-        let id = inner.spans.len();
+        let id = inner.next_id();
         let parent = match explicit {
             Some(parent) => parent,
             None => inner.stack().last().copied(),
         };
-        inner.spans.push(SpanData {
+        inner.push(SpanData {
             id,
             parent,
             kind,
@@ -343,9 +384,9 @@ impl Collector {
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
         let mut inner = self.lock();
-        let id = inner.spans.len();
+        let id = inner.next_id();
         let parent = inner.stack().last().copied();
-        inner.spans.push(SpanData {
+        inner.push(SpanData {
             id,
             parent,
             kind,
@@ -356,12 +397,13 @@ impl Collector {
         });
     }
 
-    /// A snapshot of all spans recorded so far, in creation order.
+    /// A snapshot of the retained spans (all spans recorded so far,
+    /// unless the collector is bounded), in creation order.
     pub fn spans(&self) -> Vec<SpanData> {
-        self.lock().spans.clone()
+        self.lock().spans.iter().cloned().collect()
     }
 
-    /// Number of spans recorded.
+    /// Number of spans retained.
     pub fn len(&self) -> usize {
         self.lock().spans.len()
     }
@@ -376,6 +418,7 @@ impl Collector {
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.spans.clear();
+        inner.base = 0;
         inner.stacks.clear();
     }
 
@@ -402,13 +445,21 @@ impl Collector {
                 inner.stacks.remove(&thread);
             }
         }
-        let span = &mut inner.spans[id];
+        // open spans are never evicted; only a `clear` mid-span loses one
+        let Some(span) = id
+            .checked_sub(inner.base)
+            .and_then(|i| inner.spans.get_mut(i))
+        else {
+            return;
+        };
         span.attrs.extend(attrs);
         span.elapsed = elapsed;
         span.closed = true;
         #[cfg(feature = "subscriber")]
+        let done = span.clone();
+        inner.evict();
+        #[cfg(feature = "subscriber")]
         {
-            let done = span.clone();
             drop(inner);
             if let Some(sink) = self
                 .sink
@@ -581,6 +632,53 @@ mod tests {
         set_warn_sink(None);
         warn("after removal this goes to stderr, not the sink");
         assert_eq!(*seen.lock().unwrap(), ["first", "second"]);
+    }
+
+    #[test]
+    fn bounded_collector_evicts_oldest_closed_spans() {
+        let c = Collector::bounded(4);
+        let root = c.span(kind::SERVER, "long-lived");
+        let root_id = root.id();
+        for i in 0..10 {
+            let _req = c.span(kind::SERVER, format!("req {i}"));
+            c.event(kind::RPC, format!("ev {i}"), vec![]);
+        }
+        assert_eq!(c.len(), 21, "an open span at the front holds eviction");
+        drop(root);
+        let spans = c.spans();
+        let ids: Vec<usize> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids, [17, 18, 19, 20], "the latest spans keep their ids");
+        assert_eq!(spans[0].label, "req 8");
+        assert_eq!(spans[0].parent, Some(root_id), "link to an evicted parent");
+        assert_eq!(spans[1].parent, Some(17));
+        assert_eq!(spans[2].parent, Some(root_id));
+        assert_eq!(spans[3].parent, Some(19));
+        assert_eq!(c.span(kind::PHASE, "next").id(), 21, "ids keep counting");
+    }
+
+    #[test]
+    fn bounded_collector_keeps_open_spans_resolvable() {
+        let c = Collector::bounded(2);
+        drop(c.span(kind::PHASE, "a"));
+        let mut b = c.span(kind::PHASE, "b");
+        for i in 0..5 {
+            c.event(kind::RPC, format!("ev {i}"), vec![]);
+        }
+        let ids: Vec<usize> = c.spans().iter().map(|s| s.id).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5, 6], "closed `a` evicted, open `b` kept");
+        b.record_u64(attr::ROWS_OUT, 7);
+        drop(b);
+        let spans = c.spans();
+        assert_eq!(spans.len(), 2);
+        assert_eq!((spans[0].id, spans[1].id), (5, 6));
+        assert!(spans.iter().all(|s| s.parent == Some(1)));
+        // a child opened across threads under an evicted parent keeps
+        // the explicit parent id
+        std::thread::scope(|s| {
+            s.spawn(|| drop(c.span_under(Some(1), kind::PHASE, "late child")));
+        });
+        let late = c.spans().pop().unwrap();
+        assert_eq!((late.id, late.parent, late.closed), (7, Some(1), true));
     }
 
     #[test]

@@ -19,8 +19,18 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, WireError> {
         TcpStream::connect(addr)
-            .map(|stream| Client { stream })
             .map_err(|e| WireError::Io(format!("connect failed: {e}")))
+            .and_then(Client::from_stream)
+    }
+
+    /// Wraps a connected stream with Nagle's algorithm off, so a request
+    /// frame is sent at once instead of waiting on the server's delayed
+    /// ack of the previous one.
+    fn from_stream(stream: TcpStream) -> Result<Client, WireError> {
+        stream
+            .set_nodelay(true)
+            .map_err(|e| WireError::Io(format!("set TCP_NODELAY failed: {e}")))?;
+        Ok(Client { stream })
     }
 
     /// Connects, retrying for up to `patience` — for racing a server
@@ -48,7 +58,7 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             match TcpStream::connect(addr.clone()) {
-                Ok(stream) => return Ok(Client { stream }),
+                Ok(stream) => return Client::from_stream(stream),
                 Err(e) if start.elapsed() >= patience => {
                     return Err(WireError::Io(format!(
                         "connect failed after {patience:?}: {e}"

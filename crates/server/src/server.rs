@@ -50,6 +50,12 @@ const _: () = {
     assert_send_sync::<Mediator>();
 };
 
+/// How many spans the server's span log keeps. A query records about
+/// four (`serve`, `queue-wait`, `execute`, `respond`), so this covers
+/// the latest few dozen queries; an unbounded log would grow with every
+/// query served for the life of the process.
+pub(crate) const SPAN_LOG_CAP: usize = 256;
+
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -188,7 +194,7 @@ impl Server {
             mediator,
             config,
             addr,
-            obs: Collector::new(),
+            obs: Collector::bounded(SPAN_LOG_CAP),
             sender: Mutex::new(Some(tx)),
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -253,8 +259,9 @@ impl ServerHandle {
         &self.shared.mediator
     }
 
-    /// The serving-layer spans recorded so far (`serve query` →
-    /// `queue-wait` / `execute`, `respond`, `accept`).
+    /// The latest serving-layer spans (`serve query` → `queue-wait` /
+    /// `execute`, `respond`, `accept`). The log keeps the latest 256
+    /// spans, plus any older ones still open.
     pub fn spans(&self) -> Vec<SpanData> {
         self.shared.obs.spans()
     }
@@ -318,6 +325,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// Reads frames off one client connection until it closes (or the
 /// framing breaks beyond recovery).
 fn serve_connection(shared: &Shared, stream: TcpStream) {
+    // Every reply is one frame written whole, so Nagle's algorithm only
+    // adds latency: it holds back a reply's tail until the client acks
+    // the previous segment, which a delayed ack puts off by ~40 ms.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(mut reader) = stream.try_clone() else {
         return;
     };

@@ -293,6 +293,45 @@ fn hostile_frames_leave_the_server_alive_and_the_connection_usable() {
 }
 
 #[test]
+fn deeply_nested_frames_get_a_typed_error_and_the_server_keeps_serving() {
+    let reference = federation(6);
+    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    // ~420 KB of nesting once overflowed the connection thread's stack
+    // and aborted the process; at the bound it parses, and is refused as
+    // an unknown verb
+    for (depth, expect) in [(60_000, "nest deeper"), (yat_xml::MAX_DEPTH, "unknown")] {
+        framing::write_frame(&mut stream, &nested(depth)).expect("frame writes");
+        let el = framing::read_element(&mut stream)
+            .expect("reply arrives")
+            .expect("reply present");
+        match ServerReply::from_xml(&el).expect("reply parses") {
+            ServerReply::Error { message } => assert!(message.contains(expect), "{message}"),
+            other => panic!("{other:?}"),
+        }
+    }
+    // the same connection, and the server, still answer correctly
+    let query = ClientRequest::Query {
+        text: paper::Q1.into(),
+        deadline_ms: None,
+        stream: false,
+    };
+    framing::write_element(&mut stream, &query.to_xml()).expect("frame writes");
+    let el = framing::read_element(&mut stream)
+        .expect("reply arrives")
+        .expect("reply present");
+    assert_eq!(el.to_xml(), expected_answer(&reference, paper::Q1));
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let reply = client.query(paper::Q1).expect("query round-trips");
+    assert_eq!(
+        reply.to_xml().to_xml(),
+        expected_answer(&reference, paper::Q1)
+    );
+    assert_eq!(handle.stats().protocol_errors, 2);
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_queries() {
     let mediator = federation(6);
     for source in ["o2artifact", "xmlartwork"] {
@@ -405,6 +444,58 @@ fn serving_spans_stitch_queue_wait_and_execute_under_one_request() {
     assert!(spans
         .iter()
         .any(|s| s.kind == kind::SERVER && s.label == "respond"));
+}
+
+#[test]
+fn sequential_round_trips_do_not_stall_on_delayed_acks() {
+    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    client.stats().expect("warm-up round trip");
+    // a frame split over two writes without TCP_NODELAY waits ~40 ms for
+    // the peer's delayed ack: 50 round trips would take 2 s or more
+    let start = Instant::now();
+    for _ in 0..50 {
+        client.stats().expect("stats round-trips");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn the_span_log_keeps_only_the_latest_spans() {
+    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    // a stats request records one span; a query four
+    for _ in 0..300 {
+        client.stats().expect("stats round-trips");
+    }
+    client.query(paper::Q1).expect("query round-trips");
+    let spans = handle.spans();
+    assert_eq!(spans.len(), crate::server::SPAN_LOG_CAP, "nothing is open");
+    assert!(
+        spans.first().expect("spans retained").id > 0,
+        "older spans were evicted"
+    );
+    assert!(
+        spans.windows(2).all(|w| w[1].id == w[0].id + 1),
+        "retained ids are the latest, contiguous"
+    );
+    // the last query's spans are all there, still linked to their parent
+    let serve = spans
+        .iter()
+        .rfind(|s| s.label == "serve query")
+        .expect("the latest query's span is retained");
+    for child in ["queue-wait", "execute"] {
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.label == child && s.parent == Some(serve.id)),
+            "{child}"
+        );
+    }
 }
 
 #[test]

@@ -37,7 +37,7 @@ mod writer;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use node::{Attribute, Content, Element};
-pub use parser::{parse, parse_element, ParseError, Position};
+pub use parser::{parse, parse_element, ParseError, Position, MAX_DEPTH};
 pub use writer::{write_pretty, write_xml};
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! A recursive-descent parser for the XML subset exchanged between YAT
-//! wrappers and mediators.
+//! A parser for the XML subset exchanged between YAT wrappers and
+//! mediators.
 
 use crate::escape::unescape;
 use crate::node::{Attribute, Content, Element};
@@ -36,6 +36,14 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// How deeply elements may nest; deeper input is a [`ParseError`]. The
+/// parser itself keeps open elements on the heap, but whatever walks a
+/// parsed element (serializing it, converting it to a tree, dropping it)
+/// recurses once per level, so without a bound one hostile document of
+/// nested tags would overflow a thread's stack and abort the process.
+/// YAT messages nest a few dozen levels.
+pub const MAX_DEPTH: usize = 1024;
 
 /// Parses a complete document: optional XML declaration, optional
 /// comments/PIs, then exactly one root element.
@@ -217,36 +225,72 @@ impl<'a> Parser<'a> {
         Ok(Attribute { name, value })
     }
 
+    /// Parses one element and everything inside it. Open elements wait
+    /// on an explicit stack rather than the call stack, so the nesting
+    /// depth costs heap, not thread stack.
     fn element(&mut self) -> Result<Element, ParseError> {
+        let mut open: Vec<Element> = Vec::new();
+        let mut el = match self.start_tag()? {
+            StartTag::Empty(el) => return Ok(el),
+            StartTag::Open(el) => el,
+        };
+        loop {
+            if self.content_into(&mut el)? {
+                // `el` sits at depth `open.len() + 1`, its child one deeper
+                if open.len() + 1 == MAX_DEPTH {
+                    return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+                }
+                match self.start_tag()? {
+                    StartTag::Empty(child) => el.children.push(Content::Element(child)),
+                    StartTag::Open(child) => open.push(std::mem::replace(&mut el, child)),
+                }
+                continue;
+            }
+            self.end_tag(&el.name)?;
+            match open.pop() {
+                Some(mut parent) => {
+                    parent.children.push(Content::Element(el));
+                    el = parent;
+                }
+                None => return Ok(el),
+            }
+        }
+    }
+
+    /// Parses a start tag: the name and attributes through `>` or `/>`.
+    fn start_tag(&mut self) -> Result<StartTag, ParseError> {
         self.expect("<")?;
         let name = self.name()?;
         let mut el = Element::new(name);
         loop {
             self.skip_ws();
             if self.eat("/>") {
-                return Ok(el);
+                return Ok(StartTag::Empty(el));
             }
             if self.eat(">") {
-                break;
+                return Ok(StartTag::Open(el));
             }
             el.attributes.push(self.attribute()?);
         }
-        self.content_into(&mut el)?;
-        // content_into stops at `</`
+    }
+
+    /// Parses the end tag closing the element named `name`.
+    fn end_tag(&mut self, name: &str) -> Result<(), ParseError> {
         self.expect("</")?;
         let close = self.name()?;
-        if close != el.name {
+        if close != name {
             return Err(self.err(format!(
-                "mismatched closing tag: expected `</{}>`, found `</{}>`",
-                el.name, close
+                "mismatched closing tag: expected `</{name}>`, found `</{close}>`"
             )));
         }
         self.skip_ws();
-        self.expect(">")?;
-        Ok(el)
+        self.expect(">")
     }
 
-    fn content_into(&mut self, el: &mut Element) -> Result<(), ParseError> {
+    /// Appends `el`'s content up to the next child start tag (returns
+    /// `true`, cursor on its `<`) or its end tag (returns `false`, cursor
+    /// on `</`).
+    fn content_into(&mut self, el: &mut Element) -> Result<bool, ParseError> {
         let mut text = String::new();
         let mut text_has_cr = false;
         loop {
@@ -255,7 +299,7 @@ impl<'a> Parser<'a> {
             }
             if self.starts_with("</") {
                 flush_text(el, &mut text, text_has_cr);
-                return Ok(());
+                return Ok(false);
             } else if self.starts_with("<!--") {
                 flush_text(el, &mut text, text_has_cr);
                 self.eat("<!--");
@@ -280,8 +324,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err("DTD declarations are not supported"));
             } else if self.starts_with("<") {
                 flush_text(el, &mut text, text_has_cr);
-                let child = self.element()?;
-                el.children.push(Content::Element(child));
+                return Ok(true);
             } else {
                 // character data up to the next `<`
                 let chunk = match self.rest().find('<') {
@@ -304,6 +347,13 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+enum StartTag {
+    /// `<name .../>`: complete already.
+    Empty(Element),
+    /// `<name ...>`: content and an end tag follow.
+    Open(Element),
 }
 
 /// XML 1.0 end-of-line handling: `\r\n` and lone `\r` normalize to `\n`.

@@ -223,6 +223,33 @@ fn deeply_nested() {
     roundtrip(&el);
 }
 
+fn nested(depth: usize) -> String {
+    format!("{}x{}", "<d>".repeat(depth), "</d>".repeat(depth))
+}
+
+#[test]
+fn nesting_up_to_the_bound_parses_on_a_default_thread_stack() {
+    // connection threads run with the default stack, so the bound must
+    // fit in it (debug builds use the most stack per level)
+    let el = std::thread::spawn(|| parse_element(&nested(MAX_DEPTH)))
+        .join()
+        .expect("no stack overflow")
+        .unwrap();
+    assert_eq!(el.node_count(), MAX_DEPTH + 1);
+}
+
+#[test]
+fn nesting_past_the_bound_is_a_typed_error() {
+    for depth in [MAX_DEPTH + 1, 100_000] {
+        let err = parse_element(&nested(depth)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        assert_eq!(err.position.column as usize, 3 * MAX_DEPTH + 1);
+    }
+    // the bound counts open elements, not elements seen
+    let siblings = format!("<r>{}</r>", "<d><d/></d>".repeat(2 * MAX_DEPTH));
+    assert!(parse_element(&siblings).is_ok());
+}
+
 /// Seeded randomized tests (deterministic: fixed seeds, fixed case counts).
 mod properties {
     use super::*;
